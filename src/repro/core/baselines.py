@@ -40,11 +40,12 @@ def _result_from_order(
     elapsed: float,
 ) -> SolveResult:
     chosen = order[:k]
-    coverage = coverage_vector(csr, chosen, variant)
+    retained = [csr.items[i] for i in chosen.tolist()]
+    coverage = coverage_vector(csr, retained, variant)
     return SolveResult(
         variant=variant,
         k=k,
-        retained=[csr.items[i] for i in chosen.tolist()],
+        retained=retained,
         retained_indices=np.asarray(chosen, dtype=np.int64),
         cover=float(coverage.sum()),
         coverage=coverage,

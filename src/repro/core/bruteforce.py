@@ -88,11 +88,12 @@ def brute_force_solve(
             best_subset = subset
     elapsed = time.perf_counter() - start
 
-    coverage = coverage_vector(csr, best_subset, variant)
+    retained = [csr.items[i] for i in best_subset]
+    coverage = coverage_vector(csr, retained, variant)
     return SolveResult(
         variant=variant,
         k=k,
-        retained=[csr.items[i] for i in best_subset],
+        retained=retained,
         retained_indices=np.asarray(best_subset, dtype=np.int64),
         cover=float(best_cover),
         coverage=coverage,

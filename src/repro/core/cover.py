@@ -59,6 +59,20 @@ def resolve_indices(csr: CSRGraph, retained: Iterable) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+def _retained_mask(csr: CSRGraph, retained) -> np.ndarray:
+    """Boolean membership vector of ``S`` over the dense indices.
+
+    A boolean array of length ``n_items`` is taken as the vector
+    itself; anything else goes through :func:`resolve_indices`.
+    """
+    if isinstance(retained, np.ndarray) and retained.dtype == bool \
+            and retained.shape == (csr.n_items,):
+        return retained
+    in_set = np.zeros(csr.n_items, dtype=bool)
+    in_set[resolve_indices(csr, retained)] = True
+    return in_set
+
+
 def coverage_vector(
     graph: GraphLike,
     retained: Iterable,
@@ -68,26 +82,38 @@ def coverage_vector(
 
     ``I[v] = W(v) * P(request for v is matched by S)``; the sum of the
     entries equals ``C(S)``.  Retained items have ``I[v] = W(v)``.
+    ``retained`` is an iterable of item ids (see :func:`resolve_indices`)
+    or a boolean membership vector of length ``n_items``, which lets a
+    caller that already resolved ``S`` skip resolving it again.
+
+    The match probabilities are segment reductions over the out-CSR:
+    the edges into ``S`` whose source is not in ``S`` are taken in
+    out-CSR order, grouped by source, and each group is reduced in that
+    order — ``1 - prod(1 - w)`` for Independent, ``min(1, sum(w))``
+    for Normalized.  The Normalized sum accumulates left to right
+    (``np.add.reduceat``), not pairwise as ``np.sum`` would; this order
+    is the reference that offline ``cover()`` and served answers share.
     """
     variant = Variant.coerce(variant)
     csr = as_csr(graph)
-    indices = resolve_indices(csr, retained)
-    in_set = np.zeros(csr.n_items, dtype=bool)
-    in_set[indices] = True
+    in_set = _retained_mask(csr, retained)
+    cover_prob = in_set.astype(np.float64)
 
-    cover_prob = np.zeros(csr.n_items, dtype=np.float64)
-    cover_prob[in_set] = 1.0
-    not_retained = np.flatnonzero(~in_set)
-    for v in not_retained:
-        targets, weights = csr.out_edges(v)
-        mask = in_set[targets]
-        if not mask.any():
-            continue
-        retained_weights = weights[mask]
+    # Out-CSR positions of the edges into S, then the source of each.
+    positions = np.flatnonzero(in_set[csr.out_dst])
+    sources = np.searchsorted(csr.out_ptr, positions, side="right") - 1
+    outside = ~in_set[sources]
+    positions, sources = positions[outside], sources[outside]
+    if positions.size:
+        starts = np.flatnonzero(
+            np.concatenate(([True], sources[1:] != sources[:-1]))
+        )
+        weights = csr.out_weight[positions]
         if variant is Variant.INDEPENDENT:
-            cover_prob[v] = 1.0 - np.prod(1.0 - retained_weights)
+            prob = 1.0 - np.multiply.reduceat(1.0 - weights, starts)
         else:
-            cover_prob[v] = min(1.0, float(retained_weights.sum()))
+            prob = np.minimum(1.0, np.add.reduceat(weights, starts))
+        cover_prob[sources[starts]] = prob
     return csr.node_weight * cover_prob
 
 
@@ -113,15 +139,11 @@ def item_coverage(
     0/0.
     """
     csr = as_csr(graph)
-    vector = coverage_vector(csr, retained, variant)
+    in_set = _retained_mask(csr, retained)
+    vector = coverage_vector(csr, in_set, variant)
     weights = csr.node_weight
     out = np.zeros(csr.n_items, dtype=np.float64)
     positive = weights > 0
     out[positive] = vector[positive] / weights[positive]
-    zero_weight = ~positive
-    if zero_weight.any():
-        indices = resolve_indices(csr, retained)
-        retained_mask = np.zeros(csr.n_items, dtype=bool)
-        retained_mask[indices] = True
-        out[zero_weight & retained_mask] = 1.0
+    out[~positive & in_set] = 1.0
     return out

@@ -324,7 +324,12 @@ class CSRGraph:
 
 
 def as_csr(graph) -> CSRGraph:
-    """Coerce a ``PreferenceGraph`` or ``CSRGraph`` to :class:`CSRGraph`."""
+    """Coerce a ``PreferenceGraph`` or ``CSRGraph`` to :class:`CSRGraph`.
+
+    A ``PreferenceGraph`` goes through its cached
+    :meth:`~repro.core.graph.PreferenceGraph.to_csr`, so repeated
+    coercions of one graph version build one CSR.
+    """
     if isinstance(graph, CSRGraph):
         return graph
-    return CSRGraph.from_preference_graph(graph)
+    return graph.to_csr()

@@ -11,8 +11,10 @@ whose weights encode consumer preferences:
 
 This class is the mutable, dictionary-backed representation used for
 construction, validation and small/medium instances.  For large instances
-the solvers convert it once into the immutable array-backed
-:class:`repro.core.csr.CSRGraph` via :meth:`PreferenceGraph.to_csr`.
+the solvers convert it once per graph version into the immutable
+array-backed :class:`repro.core.csr.CSRGraph` via
+:meth:`PreferenceGraph.to_csr`, which caches the view until the next
+mutation.
 """
 
 from __future__ import annotations
@@ -45,8 +47,14 @@ class PreferenceGraph:
         self._in: Dict[Item, Dict[Item, float]] = {}
         self._edge_count = 0
         # Variants validated at the default tolerance since the last
-        # mutation; any structural or weight change clears it.
+        # mutation, and the CSR view of this graph version; any
+        # structural or weight change drops both (``_mutated``).
         self._validated: set = set()
+        self._csr = None
+
+    def _mutated(self) -> None:
+        self._validated.clear()
+        self._csr = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -68,7 +76,7 @@ class PreferenceGraph:
             self._out[item] = {}
             self._in[item] = {}
         self._node_weight[item] = weight
-        self._validated.clear()
+        self._mutated()
 
     def add_edge(self, source: Item, target: Item, weight: float) -> None:
         """Add the preference edge ``source -> target``.
@@ -98,7 +106,7 @@ class PreferenceGraph:
             self._edge_count += 1
         self._out[source][target] = weight
         self._in[target][source] = weight
-        self._validated.clear()
+        self._mutated()
 
     def remove_edge(self, source: Item, target: Item) -> None:
         """Remove the edge ``source -> target`` (KeyError if absent)."""
@@ -108,7 +116,7 @@ class PreferenceGraph:
         except KeyError as exc:
             raise UnknownItemError((source, target)) from exc
         self._edge_count -= 1
-        self._validated.clear()
+        self._mutated()
 
     @classmethod
     def from_weights(
@@ -141,7 +149,7 @@ class PreferenceGraph:
             )
         for item in self._node_weight:
             self._node_weight[item] /= total
-        self._validated.clear()
+        self._mutated()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -292,10 +300,18 @@ class PreferenceGraph:
     # Conversions
     # ------------------------------------------------------------------
     def to_csr(self) -> "CSRGraph":
-        """Convert to the immutable array-backed representation."""
-        from .csr import CSRGraph
+        """The immutable array-backed view of the current graph version.
 
-        return CSRGraph.from_preference_graph(self)
+        Built on first use and cached until the next mutation, so every
+        solver, digest and coverage computation on an unchanged graph
+        shares one CSR (and its cached validation and content digest).
+        A CSR handed out earlier is never changed by a later mutation.
+        """
+        if self._csr is None:
+            from .csr import CSRGraph
+
+            self._csr = CSRGraph.from_preference_graph(self)
+        return self._csr
 
     def to_networkx(self):
         """Export as a :class:`networkx.DiGraph`.

@@ -98,7 +98,9 @@ def audit_retained_set(
     in_set = np.zeros(csr.n_items, dtype=bool)
     in_set[indices] = True
 
-    coverage = coverage_vector(csr, indices, variant)
+    # The mask, not ``indices``: dense indices passed back as ids would
+    # be re-resolved id-first and name the wrong nodes on integer ids.
+    coverage = coverage_vector(csr, in_set, variant)
     weights = csr.node_weight
     lost = weights - coverage
     total_cover = float(coverage.sum())

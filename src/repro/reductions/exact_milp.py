@@ -115,11 +115,12 @@ def milp_solve_npc(
     selected, _value = milp_solve_vc(instance, k, time_limit=time_limit)
     elapsed = time.perf_counter() - start
     indices = np.asarray(selected, dtype=np.int64)
-    coverage = coverage_vector(csr, indices, Variant.NORMALIZED)
+    retained = [items[i] for i in selected]
+    coverage = coverage_vector(csr, retained, Variant.NORMALIZED)
     return SolveResult(
         variant=Variant.NORMALIZED,
         k=k,
-        retained=[items[i] for i in selected],
+        retained=retained,
         retained_indices=indices,
         cover=float(coverage.sum()),
         coverage=coverage,

@@ -208,11 +208,12 @@ def lp_round_solve(
     selected, value, _lp_bound = lp_round_vc(instance, k)
     elapsed = time.perf_counter() - start
     indices = np.asarray(selected, dtype=np.int64)
-    coverage = coverage_vector(csr, indices, variant)
+    retained = [items[i] for i in selected]
+    coverage = coverage_vector(csr, retained, variant)
     return SolveResult(
         variant=variant,
         k=k,
-        retained=[items[i] for i in selected],
+        retained=retained,
         retained_indices=indices,
         cover=float(coverage.sum()),
         coverage=coverage,

@@ -102,27 +102,22 @@ class AssortmentService:
         self._refresh_lock = threading.Lock()
         self._sequence = 0
         self.refresh_failures = 0
-        # Cached CSR view of the current graph state; dropped whenever a
-        # delta mutates the graph so cache-hit lookups stay O(1) instead
-        # of paying an O(m) CSR conversion per ensure().
-        self._csr = None
 
     # ------------------------------------------------------------------
     # Snapshot lifecycle
     # ------------------------------------------------------------------
-    def _current_csr(self):
-        if self._csr is None:
-            self._csr = as_csr(self._graph)
-        return self._csr
-
     def current_csr(self):
-        """CSR view of the current graph state (cached until a delta)."""
-        return self._current_csr()
+        """CSR view of the current graph state.
+
+        The graph caches it until its next mutation, so cache-hit
+        lookups stay O(1) and one refresh builds at most one CSR.
+        """
+        return as_csr(self._graph)
 
     def context_key(self) -> str:
         """The active graph's full context digest (cache key)."""
         return solve_context_digest(
-            self._current_csr(), self.variant,
+            self.current_csr(), self.variant,
             k=self.k, threshold=self.threshold,
         )
 
@@ -141,7 +136,7 @@ class AssortmentService:
                     f"injected refresh failure at sequence "
                     f"{self._sequence} (fault injection)"
                 )
-        csr = self._current_csr()
+        csr = self.current_csr()
         if self._solver is not None:
             result = self._solver.resolve() \
                 if self._solver.last_result is not None \
@@ -287,7 +282,6 @@ class AssortmentService:
             self.metrics.incr("serving.deltas_stale")
             return False
         delta.apply_to(self._graph)
-        self._csr = None  # the cached CSR view is now stale
         self._sequence = delta.sequence
         self.metrics.incr("serving.deltas_applied")
         if self.validate_deltas:
@@ -324,7 +318,6 @@ class AssortmentService:
         but a manual edit followed by ``refresh()`` works too).
         """
         with self._refresh_lock:
-            self._csr = None
             return self._refresh_locked()
 
     def _refresh_locked(self) -> SolutionSnapshot:

@@ -32,7 +32,7 @@ class TestCoverageCurve:
             algorithms=("greedy", "topk-weight"),
         )
         k = rows[0]["k"]
-        direct = greedy_solve(small_graph, k, variant)
+        direct = greedy_solve(small_graph, k=k, variant=variant)
         assert rows[0]["greedy"] == pytest.approx(direct.cover, abs=1e-9)
 
     def test_monotone_in_fraction(self, medium_graph, variant):
@@ -114,7 +114,7 @@ class TestAudit:
     def test_load_bearing_contribution_is_removal_delta(
         self, medium_graph, variant
     ):
-        result = greedy_solve(medium_graph, 12, variant)
+        result = greedy_solve(medium_graph, k=12, variant=variant)
         audit = audit_retained_set(medium_graph, result.retained, variant)
         full_cover = cover(medium_graph, result.retained, variant)
         for row in audit.load_bearing:
@@ -167,3 +167,17 @@ class TestAudit:
             assert row.total_contribution == pytest.approx(
                 full - cover(g, [other], variant), abs=1e-12
             )
+
+    def test_shuffled_integer_ids_resolve_id_first(self, variant):
+        # Regression: the audit resolved ids to dense indices and then
+        # handed the indices to coverage_vector, which resolves id-first
+        # again; on integer ids that are a permutation of the index
+        # range that named other nodes.
+        from repro.core.csr import CSRGraph
+
+        csr = CSRGraph.from_arrays(
+            np.array([0.2, 0.3, 0.5]), np.array([0]), np.array([1]),
+            np.array([0.4]), items=[2, 0, 1],
+        )
+        audit = audit_retained_set(csr, [1], variant)
+        assert audit.total_cover == cover(csr, [1], variant)

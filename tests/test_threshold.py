@@ -21,13 +21,17 @@ def parallel_backend(request) -> str:
 class TestThresholdSolve:
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75, 0.9])
     def test_reaches_threshold(self, medium_graph, variant, threshold):
-        result = greedy_threshold_solve(medium_graph, threshold, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=threshold, variant=variant
+        )
         assert result.cover >= threshold - 1e-9
 
     @pytest.mark.parametrize("threshold", [0.3, 0.6, 0.85])
     def test_is_shortest_greedy_prefix(self, medium_graph, variant, threshold):
-        result = greedy_threshold_solve(medium_graph, threshold, variant)
-        full = greedy_order(medium_graph, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=threshold, variant=variant
+        )
+        full = greedy_order(medium_graph, variant=variant)
         # Same items, same order as the full greedy ordering...
         assert result.retained == full.retained[: result.k]
         # ...and one fewer item would not reach the threshold.
@@ -35,28 +39,40 @@ class TestThresholdSolve:
             assert full.prefix_covers[result.k - 1] < threshold
 
     def test_zero_threshold_empty(self, medium_graph, variant):
-        result = greedy_threshold_solve(medium_graph, 0.0, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=0.0, variant=variant
+        )
         assert result.k == 0
         assert result.retained == []
 
     def test_threshold_one_takes_whole_support(self, figure1, variant):
-        result = greedy_threshold_solve(figure1, 1.0, variant)
+        result = greedy_threshold_solve(
+            figure1, threshold=1.0, variant=variant
+        )
         assert result.cover == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_invalid_threshold(self, figure1, bad):
         with pytest.raises(SolverError, match="threshold"):
-            greedy_threshold_solve(figure1, bad, "independent")
+            greedy_threshold_solve(
+                figure1, threshold=bad, variant="independent"
+            )
 
     def test_figure1_threshold(self, figure1, variant):
         # 0.8 needs {B, D} (0.873); 0.66 is already reached by B alone.
-        result = greedy_threshold_solve(figure1, 0.8, variant)
+        result = greedy_threshold_solve(
+            figure1, threshold=0.8, variant=variant
+        )
         assert result.retained == ["B", "D"]
-        only_b = greedy_threshold_solve(figure1, 0.66, variant)
+        only_b = greedy_threshold_solve(
+            figure1, threshold=0.66, variant=variant
+        )
         assert only_b.retained == ["B"]
 
     def test_prefix_covers_recorded(self, medium_graph, variant):
-        result = greedy_threshold_solve(medium_graph, 0.7, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=0.7, variant=variant
+        )
         assert len(result.prefix_covers) == result.k + 1
         assert result.prefix_covers[-1] == pytest.approx(result.cover)
         assert np.all(np.diff(result.prefix_covers) >= -1e-12)
@@ -65,11 +81,14 @@ class TestThresholdSolve:
         # The direct threshold solver must agree with the naive
         # binary-search-over-k approach built on greedy_solve.
         threshold = 0.65
-        direct = greedy_threshold_solve(medium_graph, threshold, variant)
+        direct = greedy_threshold_solve(
+            medium_graph, threshold=threshold, variant=variant
+        )
         lo, hi = 0, 500
         while lo < hi:
             mid = (lo + hi) // 2
-            if greedy_solve(medium_graph, mid, variant).cover >= threshold - 1e-12:
+            solved = greedy_solve(medium_graph, k=mid, variant=variant)
+            if solved.cover >= threshold - 1e-12:
                 hi = mid
             else:
                 lo = mid + 1
@@ -81,7 +100,9 @@ class TestEvaluationAccounting:
 
     def test_serial_counts_one_upfront_sweep(self, medium_graph, variant):
         n = as_csr(medium_graph).n_items
-        result = greedy_threshold_solve(medium_graph, 0.6, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=0.6, variant=variant
+        )
         # The accelerated rule pays a single n-candidate sweep up front
         # and patches incrementally afterwards.
         assert result.gain_evaluations == n
@@ -90,7 +111,9 @@ class TestEvaluationAccounting:
         self, medium_graph, variant
     ):
         n = as_csr(medium_graph).n_items
-        result = greedy_threshold_solve(medium_graph, 0.0, variant)
+        result = greedy_threshold_solve(
+            medium_graph, threshold=0.0, variant=variant
+        )
         assert result.k == 0
         assert result.gain_evaluations == n
 
@@ -101,7 +124,7 @@ class TestEvaluationAccounting:
             medium_graph, variant, n_workers=2, backend=parallel_backend
         ) as pool:
             result = greedy_threshold_solve(
-                medium_graph, 0.6, variant, parallel=pool
+                medium_graph, threshold=0.6, variant=variant, parallel=pool
             )
         expected = sum(n - i for i in range(result.k))
         assert result.gain_evaluations == expected
@@ -110,7 +133,7 @@ class TestEvaluationAccounting:
     def test_tracer_counter_matches_result(self, medium_graph, variant):
         tracer = SolverTrace()
         result = greedy_threshold_solve(
-            medium_graph, 0.55, variant, tracer=tracer
+            medium_graph, threshold=0.55, variant=variant, tracer=tracer
         )
         counted = tracer.metrics.counter("solver.gain_evaluations").value
         assert counted == result.gain_evaluations

@@ -185,5 +185,5 @@ class TestBoundedDegreeGraph:
         from repro.workloads.graphs import bounded_degree_graph
 
         graph = bounded_degree_graph(100, seed=3)
-        result = greedy_solve(graph, 20, "normalized")
+        result = greedy_solve(graph, k=20, variant="normalized")
         assert 0 < result.cover <= 1
