@@ -1,6 +1,6 @@
 """Perf-regression harness for the solver hot paths.
 
-Times the four perf-critical surfaces on seeded synthetic graphs at two
+Times the three perf-critical surfaces on seeded synthetic graphs at two
 sizes and appends the medians to the machine-readable trajectory file
 ``BENCH_core.json`` at the repository root (see ``benchmarks/_perf.py``
 for the schema):
@@ -8,9 +8,7 @@ for the schema):
 * ``batch_gain.<kernels>.<size>`` — one full ``gains_all`` sweep;
 * ``add_node.<kernels>.<size>`` — committing a block of nodes;
 * ``strategy.<name>.<kernels>.<size>`` — full greedy solves with the
-  naive / lazy / accelerated strategies;
-* ``parallel.<mode>.large`` — naive greedy serial vs the pipe and
-  shared-memory parallel backends (4 workers).
+  naive / lazy / accelerated strategies.
 
 Run it directly::
 
@@ -50,7 +48,6 @@ FULL_SIZES = {"small": (2_000, 30), "large": (20_000, 60)}
 SMOKE_SIZES = {"small": (300, 8), "large": (800, 10)}
 
 STRATEGIES = ("naive", "lazy", "accelerated")
-PARALLEL_MODES = ("serial", "pipe", "shm")
 
 
 def _build_graphs(sizes):
@@ -66,7 +63,6 @@ def run_benchmarks(args) -> dict:
     from repro.core.gain import GreedyState
     from repro.core.greedy import greedy_solve
     from repro.core.kernels import available_backends, get_kernels
-    from repro.core.parallel import ParallelGainEvaluator
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     repeats = 1 if args.smoke else args.repeats
@@ -107,24 +103,6 @@ def run_benchmarks(args) -> dict:
 
                 record(f"strategy.{strategy}.{backend_name}.{label}", solve)
 
-    # Serial vs parallel on the larger instance only: worker pools are
-    # pure overhead at toy sizes and the paper's claim is about scale.
-    graph, k = graphs["large"]
-    for mode in PARALLEL_MODES:
-        if mode == "serial":
-            def run_parallel(graph=graph, k=k):
-                greedy_solve(graph, k=k, variant=VARIANT, strategy="naive")
-        else:
-            def run_parallel(graph=graph, k=k, mode=mode):
-                with ParallelGainEvaluator(
-                    graph, VARIANT, n_workers=args.workers, backend=mode
-                ) as pool:
-                    greedy_solve(graph, k=k, variant=VARIANT,
-                                 strategy="naive", parallel=pool)
-
-        name = "serial" if mode == "serial" else f"{mode}{args.workers}"
-        record(f"parallel.{name}.large", run_parallel)
-
     size_meta = {
         label: {"n_items": graph.n_items, "n_edges": graph.n_edges, "k": k}
         for label, (graph, k) in graphs.items()
@@ -143,26 +121,15 @@ def run_benchmarks(args) -> dict:
 
 def expected_series_keys(run: dict) -> list:
     """Series every valid run must contain (numpy backend is mandatory;
-    compiled-backend series are welcome extras)."""
+    compiled-backend series, and the ``parallel.*`` series older runs
+    recorded, are welcome extras)."""
     sizes = list(run.get("sizes", {}))
-    workers = set()
-    for name in run.get("series", {}):
-        if name.startswith("parallel.") and not name.startswith(
-            "parallel.serial"
-        ):
-            workers.add(name.split(".")[1].lstrip("pipeshm") or "4")
-    n_workers = sorted(workers)[0] if workers else "4"
     required = []
     for label in sizes:
         required.append(f"batch_gain.numpy.{label}")
         required.append(f"add_node.numpy.{label}")
         for strategy in STRATEGIES:
             required.append(f"strategy.{strategy}.numpy.{label}")
-    required += [
-        "parallel.serial.large",
-        f"parallel.pipe{n_workers}.large",
-        f"parallel.shm{n_workers}.large",
-    ]
     return required
 
 
@@ -206,8 +173,6 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="validate the trajectory file and exit")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker count for the parallel series")
     parser.add_argument("--label", default="",
                         help="free-form tag recorded with the run")
     parser.add_argument("--out", type=Path, default=BENCH_CORE_PATH,

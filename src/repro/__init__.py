@@ -26,7 +26,6 @@ from .core import (
     INDEPENDENT,
     KernelBackend,
     NORMALIZED,
-    ParallelGainEvaluator,
     PreferenceGraph,
     SolveResult,
     Variant,
@@ -100,7 +99,6 @@ __all__ = [
     "MetricsRegistry",
     "NORMALIZED",
     "NullTracer",
-    "ParallelGainEvaluator",
     "PreferenceGraph",
     "ReproError",
     "ServingError",

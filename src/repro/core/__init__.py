@@ -23,7 +23,6 @@ from .kernels import (
 )
 from .parallel import (
     ParallelCostModel,
-    ParallelGainEvaluator,
     calibrate_cost_model,
     speedup_curve,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "NORMALIZED",
     "ONE_MINUS_INV_E",
     "ParallelCostModel",
-    "ParallelGainEvaluator",
     "PreferenceGraph",
     "STRATEGIES",
     "GraphStats",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,24 +30,6 @@ from ..observability import NULL_TRACER
 from .csr import CSRGraph
 from .kernels import KernelBackend, get_kernels
 from .variants import Variant
-
-
-def order_digest(order: Sequence[int], start: int = 0) -> int:
-    """CRC-32 digest of a selection order (little-endian int64 stream).
-
-    The digest of ``order[:i]`` extended by ``order[i]`` equals
-    ``zlib.crc32(pack(order[i]), digest_of_prefix)``, so
-    :class:`GreedyState` can maintain its own digest in O(1) per
-    :meth:`~GreedyState.add_node` while verifiers recompute prefixes
-    from scratch.  Used by the parallel evaluator's epoch-stamped
-    protocol to prove that a worker replica holds *exactly* the same
-    selection prefix as the parent state — an equal epoch (length)
-    alone cannot distinguish two different selections of equal size.
-    """
-    digest = start
-    for node in order:
-        digest = zlib.crc32(struct.pack("<q", int(node)), digest)
-    return digest
 
 
 class GreedyState:
@@ -82,9 +64,9 @@ class GreedyState:
         self.cover = 0.0
         self.size = 0
         self.order: list[int] = []
-        # Epoch-stamped state protocol (see repro.core.parallel): the
-        # epoch counts committed AddNode calls and the digest fingerprints
-        # the exact selection order, so replicas can prove synchrony.
+        # The epoch counts committed AddNode calls and the digest is the
+        # CRC-32 of the selection order (``repro.resilience.checkpoint.
+        # order_crc``), kept in O(1) per AddNode; checkpoints store both.
         self.epoch = 0
         self.order_digest = 0
         # Hot-path bindings: the scalar oracle runs once per CELF heap
@@ -146,8 +128,7 @@ class GreedyState:
         Semantically ``[self.gain(v) for v in candidates]`` but computed
         by the batch kernel in a single sweep over the in-edge arrays,
         which is what makes the naive strategy's per-iteration ``O(n D)``
-        work tolerable in Python.  This is also the unit of work the
-        parallel executor partitions across processes.
+        work tolerable in Python.
         """
         csr = self.csr
         if self._tracing:
@@ -161,20 +142,6 @@ class GreedyState:
         if candidates is not None:
             return gains[candidates]
         return gains
-
-    def gains_range(self, lo: int, hi: int) -> np.ndarray:
-        """Marginal gains of the contiguous candidate block ``[lo, hi)``.
-
-        Identical to ``self.gains_all()[lo:hi]`` but touches only the
-        in-edges of that block.  This is the unit of work handed to each
-        worker by the parallel gain evaluator — the paper's observation
-        that "computations for each node are independent, and can be
-        performed in parallel".
-        """
-        return self.kernels.gains_block(
-            lo, hi, *self._graph_args, self.in_set, self.deficit,
-            self._independent,
-        )
 
     def retained_indices(self) -> np.ndarray:
         """Retained nodes in selection order."""

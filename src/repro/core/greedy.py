@@ -158,7 +158,6 @@ def greedy_solve(
     k: int,
     variant: "Variant | str",
     strategy: str = "auto",
-    parallel: Optional["ParallelGainEvaluator"] = None,  # noqa: F821
     callback: Optional[IterationCallback] = None,
     must_retain: Optional[Iterable] = None,
     exclude: Optional[Iterable] = None,
@@ -174,9 +173,6 @@ def greedy_solve(
         k: number of items to retain (``0 <= k <= n``).
         variant: ``"independent"`` or ``"normalized"`` (or a ``Variant``).
         strategy: one of ``auto``, ``naive``, ``lazy``, ``accelerated``.
-        parallel: a :class:`repro.core.parallel.ParallelGainEvaluator` to
-            spread naive-strategy gain evaluation across worker processes
-            (only consulted by the naive strategy).
         callback: optional per-iteration progress hook.
         must_retain: items that are retained unconditionally (contractual
             listings, store-brand products).  They occupy the first
@@ -310,7 +306,7 @@ def greedy_solve(
 
     if strategy == "naive":
         evaluations, stop_reason = _run_naive(
-            state, remaining, prefix_covers, parallel, callback,
+            state, remaining, prefix_covers, callback,
             forbidden=forbidden, tracer=tracer, hooks=hooks,
         )
     elif strategy == "lazy":
@@ -389,7 +385,6 @@ def _run_naive(
     state: GreedyState,
     k: int,
     prefix_covers: np.ndarray,
-    parallel,
     callback: Optional[IterationCallback],
     forbidden: Optional[np.ndarray] = None,
     tracer=NULL_TRACER,
@@ -403,10 +398,7 @@ def _run_naive(
     n = state.csr.n_items
     evaluations = 0
     for iteration in range(k):
-        if parallel is not None:
-            gains = parallel.gains(state)
-        else:
-            gains = state.gains_all()
+        gains = state.gains_all()
         evaluations += n - state.size
         gains[state.in_set] = -np.inf
         if forbidden is not None:

@@ -4,7 +4,7 @@ The solver's inner loops — batch gain evaluation, the scalar ``Gain``
 oracle, the ``AddNode`` scatter-update and the accelerated strategy's
 two-hop delta propagation — all operate on the raw CSR arrays.  This
 module extracts them behind a tiny dispatch layer so the *algorithm*
-code (``gain.py``, ``greedy.py``, ``threshold.py``, ``parallel.py``)
+code (``gain.py``, ``greedy.py``, ``threshold.py``)
 never needs to know how the arithmetic is executed:
 
 * ``numpy`` — the reference backend; vectorized prefix-sum /

@@ -38,7 +38,6 @@ def greedy_threshold_solve(
     variant: "Variant | str",
     tracer=None,
     kernels=None,
-    parallel=None,
     checkpoint=None,
     guard=None,
 ) -> SolveResult:
@@ -50,12 +49,7 @@ def greedy_threshold_solve(
     approach that avoids the binary-search overhead.
 
     ``kernels`` selects the arithmetic backend (see
-    :mod:`repro.core.kernels`).  ``parallel`` accepts a
-    :class:`~repro.core.parallel.ParallelGainEvaluator`; when given, each
-    selection recomputes the full gain vector across the pool's workers
-    (the naive recomputation rule) instead of patching it incrementally —
-    same selections, different cost profile, useful on wide graphs where
-    one machine-sized gain sweep dominates.
+    :mod:`repro.core.kernels`).
 
     ``checkpoint`` accepts a checkpoint directory or a
     :class:`~repro.resilience.Checkpointer`; snapshots taken under a
@@ -84,7 +78,6 @@ def greedy_threshold_solve(
         tracer.event(
             "solve.start", solver="greedy-threshold",
             variant=variant.value, threshold=threshold, n_items=n,
-            parallel=parallel is not None,
         )
     start = time.perf_counter()
 
@@ -113,16 +106,11 @@ def greedy_threshold_solve(
                     replayed=replayed, cover=float(state.cover),
                 )
 
-    # Evaluation accounting mirrors greedy_solve: the accelerated path
-    # pays one full n-candidate sweep up front and then patches gains
-    # incrementally; the parallel (naive-recomputation) path pays one
-    # sweep over the live candidates per selection round.
-    if parallel is not None:
-        gains = None
-        evaluations = 0
-    else:
-        gains = prepare_accelerated_gains(state)
-        evaluations = n
+    # Evaluation accounting mirrors greedy_solve's accelerated path: one
+    # full n-candidate sweep up front, then gains are patched
+    # incrementally.
+    gains = prepare_accelerated_gains(state)
+    evaluations = n
     stop_reason = None
     while state.cover < threshold - 1e-12:
         if state.size == n:
@@ -130,15 +118,7 @@ def greedy_threshold_solve(
                 f"threshold {threshold} unreachable: cover of the full "
                 f"catalog is {state.cover:.12f}"
             )
-        if parallel is not None:
-            round_gains = parallel.gains(state)
-            evaluations += n - state.size
-            round_gains[state.in_set] = -np.inf
-            best = int(np.argmax(round_gains))
-            gain = float(round_gains[best])
-            state.add_node(best)
-        else:
-            best, gain = accelerated_step(state, gains, tracer=tracer)
+        best, gain = accelerated_step(state, gains, tracer=tracer)
         prefix_covers.append(state.cover)
         if tracer.enabled:
             tracer.iteration(

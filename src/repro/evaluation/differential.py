@@ -1,27 +1,21 @@
-"""Differential correctness harness for the solver execution matrix.
+"""Differential correctness harness for the solver execution paths.
 
 Every execution path in this repository — the three greedy strategies,
-the three parallel wire protocols, the pluggable kernel backends and
-the complementary threshold solver — implements the *same* mathematical
-selection rule (max marginal gain, lowest index on ties).  This module
-continuously proves it: property-style generators sample random valid
-instances per variant, every combination is run against the serial
-naive reference, and any divergence in the retained selection or the
-achieved cover is collected as a :class:`DifferentialFailure` instead
-of being discovered in production.
+the pluggable kernel backends and the complementary threshold solver —
+implements the *same* mathematical selection rule (max marginal gain,
+lowest index on ties).  This module continuously proves it:
+property-style generators sample random valid instances per variant,
+every path is run against the serial naive reference, and any
+divergence in the retained selection or the achieved cover is collected
+as a :class:`DifferentialFailure` instead of being discovered in
+production.
 
 Checked per instance:
 
 * ``{naive, lazy, accelerated}`` serial strategies — byte-identical
   selections and bit-equal covers;
-* ``{pipe, shm}`` parallel backends under the naive strategy — same;
 * prefix consistency — ``greedy_threshold_solve`` must return exactly
-  the shortest qualifying prefix of the full greedy ordering, and the
-  parallel threshold path must match the serial one;
-* evaluator reuse — one :class:`ParallelGainEvaluator` serving two
-  sequential solves (and surviving a ``close()``/``start()`` cycle)
-  must keep matching serial selections, the regression for the
-  stale-replica bug the epoch protocol eliminates.
+  the shortest qualifying prefix of the full greedy ordering.
 
 Exposed on the CLI as ``repro check --differential`` and run in CI at
 smoke size next to the perf-smoke job.
@@ -36,7 +30,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.greedy import greedy_solve
-from ..core.parallel import ParallelGainEvaluator
 from ..core.result import SolveResult
 from ..core.threshold import greedy_threshold_solve
 from ..workloads.graphs import (
@@ -47,9 +40,6 @@ from ..workloads.graphs import (
 
 #: Serial strategies compared against the naive reference.
 STRATEGIES = ("naive", "lazy", "accelerated")
-
-#: Worker-pool wire protocols compared against the serial reference.
-POOL_BACKENDS = ("pipe", "shm")
 
 #: Instance generators cycled per case: sparse cluster-local graphs,
 #: dense Erdős–Rényi instances, and the degree-bounded hard regime.
@@ -201,28 +191,19 @@ def run_differential(
     instances: int = 50,
     min_items: int = 24,
     max_items: int = 140,
-    workers: int = 2,
     seed: int = 0,
     variants: Sequence[str] = ("independent", "normalized"),
-    backends: Sequence[str] = POOL_BACKENDS,
     kernels=None,
-    timeout_s: Optional[float] = 30.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> DifferentialReport:
-    """Run the full strategy x backend differential sweep.
+    """Run the strategy and threshold-prefix differential sweep.
 
     Args:
         instances: random instances generated *per variant*.
         min_items / max_items: instance-size range (sampled uniformly).
-        workers: worker processes per parallel pool.
         seed: base RNG seed; the sweep is fully deterministic given it.
         variants: problem variants to cover.
-        backends: parallel wire protocols to cover (``pipe`` / ``shm``;
-            protocols that degrade to ``serial`` on this host are still
-            run — they then check the serial path twice, which is cheap
-            and keeps the harness portable).
         kernels: kernel backend forwarded to every solver.
-        timeout_s: supervision timeout for the worker pools.
         log: optional progress sink (one line per instance).
 
     Returns:
@@ -267,19 +248,6 @@ def run_differential(
                     variant, instance, f"strategy={strategy}",
                     compare_results(reference, result),
                 )
-            for backend in backends:
-                with ParallelGainEvaluator(
-                    graph, variant, n_workers=workers, backend=backend,
-                    kernels=kernels, timeout_s=timeout_s,
-                ) as pool:
-                    result = greedy_solve(
-                        graph, k=k, variant=variant, strategy="naive",
-                        kernels=kernels, parallel=pool,
-                    )
-                record(
-                    variant, instance, f"backend={backend}",
-                    compare_results(reference, result),
-                )
 
             # Prefix consistency: the threshold solver must return the
             # shortest qualifying prefix of the full greedy ordering.
@@ -295,76 +263,18 @@ def run_differential(
             j = int(signal[min(len(signal) - 1, k // 2)]) + 1 \
                 if signal.size else 1
             threshold = float(min(1.0, reference.prefix_covers[j]))
-            t_serial = greedy_threshold_solve(
+            t_result = greedy_threshold_solve(
                 graph, threshold=threshold, variant=variant,
                 kernels=kernels,
             )
             record(
                 variant, instance, "threshold-prefix",
-                _prefix_detail(order, t_serial, threshold),
-            )
-            with ParallelGainEvaluator(
-                graph, variant, n_workers=workers,
-                backend=backends[index % len(backends)],
-                kernels=kernels, timeout_s=timeout_s,
-            ) as pool:
-                t_parallel = greedy_threshold_solve(
-                    graph, threshold=threshold, variant=variant,
-                    kernels=kernels, parallel=pool,
-                )
-            record(
-                variant, instance, "threshold-parallel",
-                compare_results(t_serial, t_parallel),
+                _prefix_detail(order, t_result, threshold),
             )
             if log is not None:
                 log(
                     f"{variant} {instance}: "
                     f"{len(report.failures)} failure(s) so far"
-                )
-
-        # Evaluator reuse: one pool, two sequential solves, plus a full
-        # close()/start() cycle — the stale-replica regression.
-        reuse_seed = int(rng.integers(0, 2**31 - 1))
-        graph = random_preference_graph(
-            max_items, variant=variant, seed=reuse_seed
-        )
-        k1 = max(1, max_items // 4)
-        k2 = max(1, max_items // 3)
-        for backend in backends:
-            pool = ParallelGainEvaluator(
-                graph, variant, n_workers=workers, backend=backend,
-                kernels=kernels, timeout_s=timeout_s,
-            )
-            instance = f"reuse n={max_items} seed={reuse_seed}"
-            with pool:
-                for solve_no, k in enumerate((k1, k2), start=1):
-                    serial = greedy_solve(
-                        graph, k=k, variant=variant, strategy="naive",
-                        kernels=kernels,
-                    )
-                    result = greedy_solve(
-                        graph, k=k, variant=variant, strategy="naive",
-                        kernels=kernels, parallel=pool,
-                    )
-                    record(
-                        variant, instance,
-                        f"backend={backend} reuse-solve{solve_no}",
-                        compare_results(serial, result),
-                    )
-            # Reopen after close: fresh forks, same evaluator object.
-            with pool:
-                serial = greedy_solve(
-                    graph, k=k1, variant=variant, strategy="naive",
-                    kernels=kernels,
-                )
-                result = greedy_solve(
-                    graph, k=k1, variant=variant, strategy="naive",
-                    kernels=kernels, parallel=pool,
-                )
-                record(
-                    variant, instance,
-                    f"backend={backend} reuse-after-close",
-                    compare_results(serial, result),
                 )
 
     report.wall_time_s = time.perf_counter() - start

@@ -7,11 +7,10 @@ instances and configurations that well-behaved generators never emit —
 zero-weight items, duplicate edge records, near-tie gains, disconnected
 nodes, integer item ids that are *not* dense indices, probability-one
 edges — combined with random solver configurations across strategies,
-parallel backends, extensions and ambient fault injection.  Every run
-is checked against the invariant registry
-(:mod:`repro.evaluation.invariants`); the oracles recompute the paper's
-cover function from scratch, so they need no reference implementation
-to disagree with.
+extensions and ambient fault injection.  Every run is checked against
+the invariant registry (:mod:`repro.evaluation.invariants`); the
+oracles recompute the paper's cover function from scratch, so they need
+no reference implementation to disagree with.
 
 Failing cases are shrunk delta-debugging style (drop items, then drop
 edges, keeping the failure alive) down to a minimal reproduction and
@@ -61,7 +60,6 @@ _MODES: Tuple[Tuple[str, int], ...] = (
 )
 
 _STRATEGIES = ("auto", "naive", "lazy", "accelerated")
-_BACKENDS = ("pipe", "shm", "serial")
 
 
 @dataclass
@@ -80,8 +78,6 @@ class FuzzCase:
     variant: str
     mode: str
     strategy: str = "auto"
-    workers: Optional[int] = None
-    backend: str = "auto"
     k: Optional[int] = None
     threshold: Optional[float] = None
     budget: Optional[float] = None
@@ -111,10 +107,9 @@ class FuzzCase:
             "variant": self.variant,
             "mode": self.mode,
             "strategy": self.strategy,
-            "backend": self.backend,
         }
         for key in (
-            "workers", "k", "threshold", "budget", "costs", "categories",
+            "k", "threshold", "budget", "costs", "categories",
             "quotas", "revenues", "must_retain", "exclude", "faults",
             "delta_seed",
         ):
@@ -126,6 +121,11 @@ class FuzzCase:
     @classmethod
     def from_dict(cls, payload: Dict) -> "FuzzCase":
         kwargs = dict(payload)
+        # Artifacts written while solves could run on a worker pool carry
+        # these keys; pooled selections were byte-identical to serial
+        # ones, so such cases replay serially.
+        kwargs.pop("workers", None)
+        kwargs.pop("backend", None)
         return cls(**kwargs)
 
 
@@ -312,12 +312,7 @@ def generate_case(rng: random.Random, *, max_items: int = 48) -> FuzzCase:
         case.mode in ("k", "threshold")
         and not case.must_retain and not case.exclude
     )
-    if plain and rng.random() < 0.15:
-        case.workers = 2
-        case.backend = rng.choice(_BACKENDS)
-        if case.mode == "k":
-            case.strategy = "auto"  # facade selects the naive strategy
-    if plain and case.workers is None and rng.random() < 0.2:
+    if plain and rng.random() < 0.2:
         # Cooperative stop with NO run guard configured — the
         # stop-reason-without-a-guard path of the guard-deref bugfix.
         case.faults = f"stop_round={rng.randrange(1, max(2, k))}"
@@ -416,8 +411,6 @@ def run_case(case: FuzzCase) -> Tuple[List[InvariantViolation], int]:
                 strategy=case.strategy,
                 constraints=constraints or None,
                 objective=objective,
-                workers=case.workers,
-                parallel_backend=case.backend,
             )
             with inject_faults(injector):
                 result = facade.solve(graph, **kwargs)
@@ -432,13 +425,12 @@ def run_case(case: FuzzCase) -> Tuple[List[InvariantViolation], int]:
             # The exhaustive ordering backs the prefix-property and
             # threshold-boundary oracles; computed OUTSIDE the fault
             # context so an injected stop cannot truncate the reference.
-            if case.mode in ("k", "threshold") and case.workers is None:
+            if case.mode in ("k", "threshold"):
                 record.order = greedy_solve(
                     graph, k=graph.n_items, variant=variant,
                     strategy="accelerated",
                 )
-            if injector is None and case.workers is None \
-                    and case.mode in ("k", "threshold"):
+            if injector is None and case.mode in ("k", "threshold"):
                 record.replay = facade.solve(graph, **kwargs)
             records.append(record)
     except Exception as exc:  # noqa: BLE001 - any crash is a finding
@@ -491,8 +483,6 @@ def _drop_item(case: FuzzCase, position: int) -> Optional[FuzzCase]:
         variant=case.variant,
         mode=case.mode,
         strategy=case.strategy,
-        workers=case.workers,
-        backend=case.backend,
         k=min(case.k, n) if case.k is not None else None,
         threshold=case.threshold,
         budget=case.budget,

@@ -3,15 +3,14 @@
 The checkpoint subsystem's correctness claim is sharp: a solve killed
 at an arbitrary round and resumed from its checkpoints selects exactly
 what the uninterrupted solve would have.  This harness proves it the
-same way :mod:`repro.evaluation.differential` proves strategy/backend
+same way :mod:`repro.evaluation.differential` proves strategy
 equivalence — by running both sides on random instances and comparing
 with :func:`~repro.evaluation.differential.compare_results`:
 
-* **kill/resume** — for every ``{naive, lazy, accelerated}`` strategy
-  crossed with every ``{serial, pipe, shm}`` evaluation backend, the
-  solve is killed (via the deterministic ``kill_round`` fault) at a
+* **kill/resume** — for every ``{naive, lazy, accelerated}`` strategy,
+  the solve is killed (via the deterministic ``kill_round`` fault) at a
   random round, then resumed from disk; the resumed result must match
-  the clean run of the same combination.
+  the clean run of the same strategy.
 * **corrupt-latest** — before one resume per instance the newest
   snapshot is truncated mid-file; the loader must fall back to an
   older snapshot (or restart from scratch) and still match.
@@ -34,7 +33,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..core.greedy import greedy_solve
-from ..core.parallel import ParallelGainEvaluator
 from ..core.threshold import greedy_threshold_solve
 from ..errors import SolverError
 from ..resilience import Checkpointer, FaultInjector, RunGuard, inject_faults
@@ -47,44 +45,15 @@ from .differential import (
     compare_results,
 )
 
-#: Evaluation backends crossed with every strategy.  ``serial`` means no
-#: worker pool; the pool backends are only *consulted* by the naive
-#: strategy but are constructed (and torn down) for every combination,
-#: which keeps the matrix honest about pool lifecycle under crashes.
-RESILIENCE_BACKENDS = ("serial", "pipe", "shm")
-
-
-def _solve_combo(
-    graph, k, variant, strategy, backend, *, workers, timeout_s,
-    checkpoint=None, guard=None,
-):
-    """One (strategy, backend) cell of the matrix, pool managed inline."""
-    if backend == "serial":
-        return greedy_solve(
-            graph, k=k, variant=variant, strategy=strategy,
-            checkpoint=checkpoint, guard=guard,
-        )
-    with ParallelGainEvaluator(
-        graph, variant, n_workers=workers, backend=backend,
-        timeout_s=timeout_s,
-    ) as pool:
-        return greedy_solve(
-            graph, k=k, variant=variant, strategy=strategy, parallel=pool,
-            checkpoint=checkpoint, guard=guard,
-        )
-
 
 def run_resilience_differential(
     *,
     instances: int = 25,
     min_items: int = 24,
     max_items: int = 96,
-    workers: int = 2,
     seed: int = 0,
     variants: Sequence[str] = ("independent", "normalized"),
     strategies: Sequence[str] = STRATEGIES,
-    backends: Sequence[str] = RESILIENCE_BACKENDS,
-    timeout_s: Optional[float] = 30.0,
     log: Optional[Callable[[str], None]] = None,
 ) -> DifferentialReport:
     """Prove interrupted+resumed ≡ uninterrupted on random instances.
@@ -92,13 +61,10 @@ def run_resilience_differential(
     Args:
         instances: random instances *per variant*.
         min_items / max_items: instance-size range (sampled uniformly).
-        workers: worker processes per parallel pool.
         seed: base RNG seed; the sweep (including every kill round and
             checkpoint cadence) is fully deterministic given it.
         variants: problem variants to cover.
-        strategies: greedy strategies to cross with ``backends``.
-        backends: evaluation backends (``serial`` / ``pipe`` / ``shm``).
-        timeout_s: supervision timeout for the worker pools.
+        strategies: greedy strategies to kill and resume.
         log: optional progress sink (one line per instance).
 
     Returns:
@@ -139,11 +105,8 @@ def run_resilience_differential(
             )
 
             for combo_no, strategy in enumerate(strategies):
-                backend = backends[(index + combo_no) % len(backends)]
-                combo = f"{strategy}/{backend}"
-                clean = _solve_combo(
-                    graph, k, variant, strategy, backend,
-                    workers=workers, timeout_s=timeout_s,
+                clean = greedy_solve(
+                    graph, k=k, variant=variant, strategy=strategy,
                 )
                 with tempfile.TemporaryDirectory() as ckpt_dir:
                     crashed = False
@@ -151,9 +114,8 @@ def run_resilience_differential(
                         with inject_faults(
                             FaultInjector(kill_round=kill_round)
                         ):
-                            _solve_combo(
-                                graph, k, variant, strategy, backend,
-                                workers=workers, timeout_s=timeout_s,
+                            greedy_solve(
+                                graph, k=k, variant=variant, strategy=strategy,
                                 checkpoint=Checkpointer(
                                     ckpt_dir, every_rounds=cadence,
                                 ),
@@ -161,7 +123,7 @@ def run_resilience_differential(
                     except InjectedCrash:
                         crashed = True
                     record(
-                        variant, instance, f"{combo} kill@{kill_round}",
+                        variant, instance, f"{strategy} kill@{kill_round}",
                         None if crashed else "injected crash did not fire",
                     )
                     if combo_no == corrupt_combo:
@@ -171,25 +133,24 @@ def run_resilience_differential(
                         if snapshots:
                             raw = snapshots[-1].read_bytes()
                             snapshots[-1].write_bytes(raw[: len(raw) // 2])
-                    resumed = _solve_combo(
-                        graph, k, variant, strategy, backend,
-                        workers=workers, timeout_s=timeout_s,
+                    resumed = greedy_solve(
+                        graph, k=k, variant=variant, strategy=strategy,
                         checkpoint=Checkpointer(
                             ckpt_dir, every_rounds=cadence,
                         ),
                     )
                     leftovers = list(Path(ckpt_dir).glob(".tmp-*"))
                     record(
-                        variant, instance, f"{combo} tmp-files",
+                        variant, instance, f"{strategy} tmp-files",
                         f"leaked temp checkpoints: {leftovers}"
                         if leftovers else None,
                     )
                 record(
-                    variant, instance, f"{combo} resume==clean",
+                    variant, instance, f"{strategy} resume==clean",
                     compare_results(clean, resumed),
                 )
                 record(
-                    variant, instance, f"{combo} clean==reference",
+                    variant, instance, f"{strategy} clean==reference",
                     compare_results(clean_reference, clean),
                 )
 

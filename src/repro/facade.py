@@ -38,7 +38,6 @@ from typing import Mapping, Optional
 from .core.context import solve_context_digest
 from .core.csr import as_csr
 from .core.greedy import greedy_solve
-from .core.parallel import PARALLEL_BACKENDS
 from .core.threshold import greedy_threshold_solve
 from .core.variants import Variant
 from .errors import SolverError, SolverInterrupted
@@ -83,8 +82,6 @@ def solve(
     constraints: Optional[Mapping] = None,
     objective: Optional[Mapping] = None,
     tracer: Optional[SolverTrace] = None,
-    workers: Optional[int] = None,
-    parallel_backend: str = "auto",
     kernels=None,
     checkpoint=None,
     guard=None,
@@ -109,15 +106,6 @@ def solve(
             the objective from cover to expected revenue.
         tracer: a :class:`~repro.observability.SolverTrace` for
             per-iteration events; ``None`` records stage timings only.
-        workers: spread gain evaluation across this many worker
-            processes.  Applies to naive-strategy ``k`` solves and to
-            threshold solves; with ``strategy="auto"`` and ``workers > 1``
-            the naive (parallelizable) strategy is selected.  Combining
-            ``workers`` with an explicit incremental strategy
-            (``lazy`` / ``accelerated``) raises :class:`SolverError`.
-        parallel_backend: wire protocol for the worker pool — ``auto``
-            (shared memory where available), ``shm``, ``pipe`` or
-            ``serial``; see :class:`~repro.core.parallel.ParallelGainEvaluator`.
         kernels: arithmetic backend for the solver hot loops (``auto`` /
             ``numpy`` / ``numba`` or a
             :class:`~repro.core.kernels.KernelBackend`); ``None``
@@ -126,7 +114,7 @@ def solve(
             :class:`~repro.resilience.Checkpointer`; the solve snapshots
             its greedy state periodically and resumes from the longest
             valid prefix on the next call.  Supported by plain ``k``
-            and ``threshold`` solves (with or without ``workers``).
+            and ``threshold`` solves.
         guard: a :class:`~repro.resilience.RunGuard`; a crossed
             deadline or RSS ceiling stops the solve after the current
             round, either raising
@@ -151,27 +139,14 @@ def solve(
         SolverError: conflicting or missing stopping rules
             (``k`` *and* ``threshold``, neither, or ``budget`` mixed
             with either), threshold runs with constraints, unknown
-            constraint/objective keys, an unknown ``parallel_backend``
-            (validated eagerly, even when no pool is built), an explicit
-            ``strategy`` on a threshold solve with ``workers > 1``
-            (which would otherwise be silently ignored), ``workers``
-            combined with a dispatch target that cannot use a worker
-            pool, or ``checkpoint``/``guard`` on a dispatch target
-            that does not support resilience hooks (budget, revenue,
-            quota solves).
+            constraint/objective keys, or ``checkpoint``/``guard`` on a
+            dispatch target that does not support resilience hooks
+            (budget, revenue, quota solves).
     """
     variant = Variant.coerce(variant)
     graph = as_csr(graph)
     if not validated:
         graph.validate(variant)
-    # Validate eagerly rather than deferring to ParallelGainEvaluator:
-    # with workers unset (or <= 1) no pool is ever built, and a typo'd
-    # backend would otherwise be accepted silently.
-    if parallel_backend not in PARALLEL_BACKENDS:
-        raise SolverError(
-            f"unknown parallel backend {parallel_backend!r}; expected one "
-            f"of {PARALLEL_BACKENDS}"
-        )
     options = _check_mapping("constraints", constraints, CONSTRAINT_KEYS)
     goal = _check_mapping("objective", objective, OBJECTIVE_KEYS)
 
@@ -239,38 +214,6 @@ def solve(
             "resilience hooks"
         )
 
-    want_pool = workers is not None and workers > 1
-    if want_pool:
-        if budget is not None or revenues is not None or categories is not None:
-            raise SolverError(
-                "workers applies only to plain k solves "
-                "(strategy='naive') and threshold solves"
-            )
-        if threshold is None:
-            if strategy == "auto":
-                strategy = "naive"  # the parallelizable strategy
-            elif strategy != "naive":
-                raise SolverError(
-                    f"workers={workers} requires strategy='naive' (the "
-                    f"lazy/accelerated strategies are inherently "
-                    f"sequential), got strategy={strategy!r}"
-                )
-        elif strategy != "auto":
-            raise SolverError(
-                f"threshold solves with workers={workers} always use the "
-                f"parallel naive recomputation rule; strategy="
-                f"{strategy!r} would be ignored — drop it or use "
-                f"strategy='auto'"
-            )
-
-    def make_pool():
-        from .core.parallel import ParallelGainEvaluator
-
-        return ParallelGainEvaluator(
-            graph, variant, n_workers=workers, backend=parallel_backend,
-            tracer=tracer, kernels=kernels,
-        )
-
     # Correlation: a solve inside an active span (e.g. a serving
     # refresh) joins that trace; a bare library call opens its own only
     # when structured logging is on, so the default path stays silent.
@@ -298,19 +241,11 @@ def solve(
                     tracer=tracer,
                 )
             elif threshold is not None:
-                if want_pool:
-                    with make_pool() as pool:
-                        result = greedy_threshold_solve(
-                            graph, threshold=threshold, variant=variant,
-                            tracer=tracer, kernels=kernels, parallel=pool,
-                            checkpoint=checkpoint, guard=guard,
-                        )
-                else:
-                    result = greedy_threshold_solve(
-                        graph, threshold=threshold, variant=variant,
-                        tracer=tracer, kernels=kernels,
-                        checkpoint=checkpoint, guard=guard,
-                    )
+                result = greedy_threshold_solve(
+                    graph, threshold=threshold, variant=variant,
+                    tracer=tracer, kernels=kernels,
+                    checkpoint=checkpoint, guard=guard,
+                )
             elif revenues is not None:
                 from .extensions.revenue import revenue_greedy_solve
 
@@ -330,14 +265,6 @@ def solve(
                     graph, variant=variant, categories=categories,
                     quotas=quotas, k=k, tracer=tracer,
                 )
-            elif want_pool:
-                with make_pool() as pool:
-                    result = greedy_solve(
-                        graph, k=k, variant=variant, strategy=strategy,
-                        must_retain=must_retain, exclude=exclude,
-                        tracer=tracer, kernels=kernels, parallel=pool,
-                        checkpoint=checkpoint, guard=guard,
-                    )
             else:
                 result = greedy_solve(
                     graph, k=k, variant=variant, strategy=strategy,

@@ -11,8 +11,8 @@ Three cooperating pieces make long solves survivable:
   (raise :class:`~repro.errors.SolverInterrupted` or return a partial
   result flagged ``interrupted=True``);
 * :mod:`~repro.resilience.faults` — a deterministic seeded fault
-  injector (worker crashes, recv delays, checkpoint-write failures,
-  malformed records) selected via ``REPRO_FAULTS`` or
+  injector (solver kills, checkpoint-write failures, malformed records,
+  serving-refresh failures) selected via ``REPRO_FAULTS`` or
   :func:`inject_faults`, driving the chaos test suite.
 
 See ``docs/resilience.md`` for the checkpoint format, guard semantics

@@ -1,31 +1,19 @@
 """Chaos suite: the runtime under injected faults must stay correct.
 
 Every test here asserts *equality* with an un-faulted run (the fault
-sequences are seeded and deterministic), plus the zero-leak guarantees:
-no surviving worker processes, no leaked ``/dev/shm`` segments, no
-stray temp checkpoint files.
+sequences are seeded and deterministic), plus the zero-leak guarantee:
+no stray temp checkpoint files.
 """
 
-import multiprocessing as mp
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.core.greedy import greedy_solve
-from repro.core.parallel import ParallelGainEvaluator
 from repro.errors import ReproError
 from repro.resilience import Checkpointer, FaultInjector, inject_faults
 from repro.resilience.faults import InjectedCrash
 from repro.workloads.graphs import random_preference_graph
-
-_SHM_DIR = Path("/dev/shm")
-
-
-def _shm_entries():
-    if not _SHM_DIR.is_dir():  # pragma: no cover - non-Linux hosts
-        return set()
-    return {entry.name for entry in _SHM_DIR.iterdir()}
 
 
 @pytest.fixture
@@ -50,16 +38,6 @@ def _suppress_ambient(request):
         yield
 
 
-@pytest.fixture
-def leak_check():
-    """Assert the test leaked no children and no shared-memory segments."""
-    before = _shm_entries()
-    yield
-    assert mp.active_children() == []
-    leaked = _shm_entries() - before
-    assert not leaked, f"leaked /dev/shm segments: {leaked}"
-
-
 @pytest.mark.ambient_chaos
 class TestEnvActivation:
     def test_env_kill_round_reaches_solver(self, graph, monkeypatch):
@@ -69,9 +47,11 @@ class TestEnvActivation:
         assert excinfo.value.round_no == 3
 
     def test_env_spec_errors_are_loud(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "kill_round=soon")
-        with pytest.raises(ReproError, match="REPRO_FAULTS"):
-            greedy_solve(graph, k=10, variant="independent")
+        # A bad value, and a retired fault kind (the worker pool is gone).
+        for spec in ("kill_round=soon", "worker_crash=0.1"):
+            monkeypatch.setenv("REPRO_FAULTS", spec)
+            with pytest.raises(ReproError, match="REPRO_FAULTS"):
+                greedy_solve(graph, k=10, variant="independent")
 
     def test_env_checkpoint_chaos(self, graph, tmp_path, monkeypatch):
         # Every write fails, yet the solve itself must succeed.
@@ -84,46 +64,6 @@ class TestEnvActivation:
         assert ckpt.write_failures > 0
         assert list(tmp_path.glob("ckpt-*")) == []
         assert list(tmp_path.glob(".tmp-*")) == []
-
-
-class TestWorkerChaos:
-    @pytest.mark.parametrize("backend", ["pipe", "shm"])
-    def test_crashed_workers_do_not_change_results(
-        self, graph, backend, leak_check
-    ):
-        serial = greedy_solve(
-            graph, k=12, variant="independent", strategy="naive"
-        )
-        faults = FaultInjector(seed=3, worker_crash=0.4, recv_delay=0.001)
-        with inject_faults(faults):
-            with ParallelGainEvaluator(
-                graph, "independent", n_workers=2, backend=backend,
-                timeout_s=30.0, max_restarts=50,
-            ) as pool:
-                chaotic = greedy_solve(
-                    graph, k=12, variant="independent", strategy="naive",
-                    parallel=pool,
-                )
-                restarts = pool.restarts
-        assert faults.fired.get("worker_crash", 0) > 0
-        assert restarts >= faults.fired["worker_crash"]
-        assert chaotic.retained == serial.retained
-        assert chaotic.cover == serial.cover
-
-    def test_restart_budget_exhaustion_is_clean(self, graph, leak_check):
-        from repro.errors import SolverError
-
-        faults = FaultInjector(seed=1, worker_crash=1.0)
-        with inject_faults(faults):
-            with pytest.raises(SolverError, match="restart budget"):
-                with ParallelGainEvaluator(
-                    graph, "independent", n_workers=2, backend="pipe",
-                    timeout_s=10.0, max_restarts=1,
-                ) as pool:
-                    greedy_solve(
-                        graph, k=12, variant="independent",
-                        strategy="naive", parallel=pool,
-                    )
 
 
 class TestCrashResumeChaos:
@@ -208,36 +148,27 @@ class TestIngestionChaos:
 
 
 class TestFullChaosLeakFreedom:
-    def test_chaos_sweep_leaves_nothing_behind(self, graph, tmp_path, leak_check):
-        # The combined scenario from the acceptance criteria: worker
-        # crashes + kill + flaky checkpoints, across both pool
-        # protocols, then a final leak sweep.
+    def test_chaos_sweep_leaves_nothing_behind(self, graph, tmp_path):
+        # The combined scenario: kill + flaky checkpoints under every
+        # strategy, then a final leak sweep.
         clean = greedy_solve(
             graph, k=10, variant="independent", strategy="naive"
         )
-        for backend in ("pipe", "shm"):
-            ckpt_dir = tmp_path / backend
+        for strategy in ("naive", "lazy", "accelerated"):
+            ckpt_dir = tmp_path / strategy
             with pytest.raises(InjectedCrash):
                 with inject_faults(
                     FaultInjector(
-                        seed=7, kill_round=6, worker_crash=0.3,
-                        checkpoint_write=0.3,
+                        seed=7, kill_round=6, checkpoint_write=0.3,
                     )
                 ):
-                    with ParallelGainEvaluator(
-                        graph, "independent", n_workers=2,
-                        backend=backend, timeout_s=30.0,
-                        max_restarts=50,
-                    ) as pool:
-                        greedy_solve(
-                            graph, k=10, variant="independent",
-                            strategy="naive", parallel=pool,
-                            checkpoint=Checkpointer(
-                                ckpt_dir, every_rounds=1
-                            ),
-                        )
+                    greedy_solve(
+                        graph, k=10, variant="independent",
+                        strategy=strategy,
+                        checkpoint=Checkpointer(ckpt_dir, every_rounds=1),
+                    )
             resumed = greedy_solve(
-                graph, k=10, variant="independent", strategy="naive",
+                graph, k=10, variant="independent", strategy=strategy,
                 checkpoint=Checkpointer(ckpt_dir),
             )
             assert resumed.retained == clean.retained
@@ -255,10 +186,10 @@ class TestAmbientChaosSmoke:
     This class is the only part that *requires* the ambient spec: it
     proves a solve under whatever ambient chaos is configured either
     completes with a correct prefix or dies with the injected error —
-    never a wrong answer, never a leak.
+    never a wrong answer.
     """
 
-    def test_ambient_faults_respected(self, graph, leak_check):
+    def test_ambient_faults_respected(self, graph):
         with inject_faults(None):  # clean reference, chaos suppressed
             clean = greedy_solve(graph, k=10, variant="independent")
         try:

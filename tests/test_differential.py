@@ -3,7 +3,6 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from repro.core.greedy import greedy_solve
 from repro.core.result import SolveResult
@@ -133,20 +132,20 @@ class TestRunDifferential:
     def test_smoke_sweep_passes(self):
         lines = []
         report = run_differential(
-            instances=3, min_items=12, max_items=36, workers=2, seed=7,
+            instances=3, min_items=12, max_items=36, seed=7,
             log=lines.append,
         )
         assert report.ok, report.summary()
-        # Per instance: 2 strategies + 2 backends + 2 threshold checks;
-        # per backend: 3 reuse checks — all across 2 variants.
-        assert report.checks == 2 * (3 * 6 + 2 * 3)
+        # Per instance: 2 strategies + 1 threshold-prefix check, across
+        # 2 variants.
+        assert report.checks == 2 * (3 * 3)
         assert report.wall_time_s > 0
         assert len(lines) == 2 * 3
 
     def test_degenerate_size_range_is_clamped(self):
         report = run_differential(
-            instances=1, min_items=100, max_items=10, workers=2, seed=3,
-            variants=("independent",), backends=("pipe",),
+            instances=1, min_items=100, max_items=10, seed=3,
+            variants=("independent",),
         )
         assert report.ok, report.summary()
 
@@ -163,20 +162,11 @@ class TestRunDifferential:
 
         monkeypatch.setattr(differential, "compare_results", sabotage)
         report = run_differential(
-            instances=1, min_items=12, max_items=24, workers=2, seed=1,
-            variants=("independent",), backends=("pipe",),
+            instances=1, min_items=12, max_items=24, seed=1,
+            variants=("independent",),
         )
         assert not report.ok
         assert any(
             "injected divergence" in failure.detail
             for failure in report.failures
         )
-
-
-@pytest.mark.parametrize("backend", ["pipe", "shm"])
-def test_reuse_checks_cover_both_backends(backend):
-    report = run_differential(
-        instances=1, min_items=16, max_items=32, workers=2, seed=11,
-        variants=("independent",), backends=(backend,),
-    )
-    assert report.ok, report.summary()

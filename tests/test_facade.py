@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ import repro
 from repro import SolverError, SolverTrace, solve
 from repro.core.csr import as_csr
 from repro.core.greedy import greedy_solve
+from repro.core.threshold import greedy_threshold_solve
 from repro.extensions.capacity import capacity_greedy_solve
 from repro.extensions.quotas import quota_greedy_solve
 
@@ -182,32 +184,13 @@ class TestValidation:
             solve(small_graph, variant="independent", k=3,
                   constraints={"quotas": {"a": 1}})
 
-    def test_unknown_backend_rejected_without_workers(self, small_graph):
-        # Eager validation: with workers unset no pool is ever built,
-        # but a typo'd backend must still be rejected, not ignored.
-        with pytest.raises(SolverError, match="parallel backend"):
-            solve(small_graph, variant="independent", k=3,
-                  parallel_backend="zeromq")
-
-    def test_unknown_backend_rejected_with_one_worker(self, small_graph):
-        with pytest.raises(SolverError, match="parallel backend"):
-            solve(small_graph, variant="independent", k=3, workers=1,
-                  parallel_backend="mpi")
-
-    def test_threshold_workers_rejects_explicit_strategy(self, small_graph):
-        # The parallel threshold path always uses the naive
-        # recomputation rule; a requested strategy would be silently
-        # ignored, so it must raise instead.
-        with pytest.raises(SolverError, match="would be ignored"):
-            solve(small_graph, variant="independent", threshold=0.5,
-                  workers=2, strategy="accelerated")
-
-    def test_threshold_workers_auto_strategy_ok(self, small_graph, variant):
-        serial = solve(small_graph, variant=variant, threshold=0.5)
-        pooled = solve(small_graph, variant=variant, threshold=0.5,
-                       workers=2, strategy="auto")
-        assert pooled.retained == serial.retained
-        assert pooled.cover == pytest.approx(serial.cover)
+    def test_solvers_take_no_pool_arguments(self):
+        # Solves run serially; there is no worker-pool knob to pass.
+        for fn in (solve, greedy_solve, greedy_threshold_solve):
+            params = inspect.signature(fn).parameters
+            assert not {"workers", "parallel_backend", "parallel"} & set(
+                params
+            ), fn.__name__
 
 
 class TestKeywordOnlyMigration:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,11 +61,9 @@ class TestGeneration:
                 seen.add("p1-edge")
             if case.faults:
                 seen.add("faults")
-            if case.workers:
-                seen.add("workers")
         assert seen >= {
             "shuffled-ids", "zero-weight", "dup-edges", "p1-edge",
-            "faults", "workers",
+            "faults",
         }
 
     def test_case_json_roundtrip(self):
@@ -241,6 +240,21 @@ class TestArtifacts:
         assert payload["invariant"] == "result-consistency"
         assert payload["round"] == 7
         # The fixed codebase satisfies every oracle on this case.
+        assert replay_artifact(path) == []
+
+    def test_pool_era_artifact_replays(self, tmp_path):
+        # Artifacts dumped while solves could run on a worker pool carry
+        # "workers"/"backend" keys; they must still load and replay.
+        case = generate_case(random.Random(3), max_items=12)
+        violation = InvariantViolation("result-consistency", "synthetic")
+        path = write_artifact(
+            tmp_path, seed=3, round_no=7, failure=violation, case=case
+        )
+        payload = json.loads(Path(path).read_text())
+        payload["case"].update(workers=2, backend="shm")
+        Path(path).write_text(json.dumps(payload))
+        loaded, _ = load_artifact(path)
+        assert loaded.to_dict() == case.to_dict()
         assert replay_artifact(path) == []
 
     def test_version_mismatch_rejected(self, tmp_path):

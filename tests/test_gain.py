@@ -6,7 +6,18 @@ import pytest
 from repro.core.cover import cover, coverage_vector
 from repro.core.csr import as_csr
 from repro.core.gain import GreedyState
+from repro.core.kernels import get_kernels
+from repro.core.variants import Variant
 from repro.errors import SolverError
+
+
+def gains_range(state, lo, hi):
+    """Gains of the candidate block ``[lo, hi)`` via the numpy kernel."""
+    csr = state.csr
+    return get_kernels("numpy").gains_block(
+        lo, hi, csr.in_ptr, csr.in_src, csr.in_weight, csr.node_weight,
+        state.in_set, state.deficit, state.variant is Variant.INDEPENDENT,
+    )
 
 
 class TestGainMatchesCoverDelta:
@@ -132,6 +143,8 @@ class TestGainsAll:
 
 
 class TestGainsRange:
+    """Block boundaries of the ``gains_block`` kernel (``lo``/``hi``)."""
+
     def test_matches_full(self, medium_graph, variant):
         csr = as_csr(medium_graph)
         state = GreedyState(csr, variant)
@@ -140,19 +153,19 @@ class TestGainsRange:
         full = state.gains_all()
         for lo, hi in [(0, 100), (100, 350), (350, 500), (499, 500)]:
             np.testing.assert_allclose(
-                state.gains_range(lo, hi), full[lo:hi], atol=1e-12
+                gains_range(state, lo, hi), full[lo:hi], atol=1e-12
             )
 
     def test_empty_range(self, small_graph, variant):
         state = GreedyState(as_csr(small_graph), variant)
-        assert state.gains_range(5, 5).size == 0
+        assert gains_range(state, 5, 5).size == 0
 
     def test_empty_range_after_partial_solve(self, small_graph, variant):
         state = GreedyState(as_csr(small_graph), variant)
         for v in (0, 3):
             state.add_node(v)
         for lo in (0, 7, state.csr.n_items):
-            block = state.gains_range(lo, lo)
+            block = gains_range(state, lo, lo)
             assert block.shape == (0,)
 
     def test_isolated_nodes_block(self, variant):
@@ -168,9 +181,13 @@ class TestGainsRange:
             np.array([0.5]),
         )
         state = GreedyState(csr, variant)
-        np.testing.assert_allclose(state.gains_range(2, 5), [0.2, 0.1, 0.1])
+        np.testing.assert_allclose(
+            gains_range(state, 2, 5), [0.2, 0.1, 0.1]
+        )
         state.add_node(3)
-        np.testing.assert_allclose(state.gains_range(2, 5), [0.2, 0.0, 0.1])
+        np.testing.assert_allclose(
+            gains_range(state, 2, 5), [0.2, 0.0, 0.1]
+        )
 
     def test_matches_full_after_partial_solve(self, medium_graph, variant):
         from repro.core.greedy import greedy_solve
@@ -184,5 +201,5 @@ class TestGainsRange:
         n = csr.n_items
         for lo, hi in [(0, n), (0, 1), (n - 1, n), (123, 457)]:
             np.testing.assert_allclose(
-                state.gains_range(lo, hi), full[lo:hi], atol=1e-12
+                gains_range(state, lo, hi), full[lo:hi], atol=1e-12
             )

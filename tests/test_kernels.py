@@ -20,6 +20,7 @@ from repro.core.kernels import (
     get_kernels,
 )
 from repro.core.threshold import greedy_threshold_solve
+from repro.core.variants import Variant
 from repro.errors import SolverError
 
 HAS_NUMBA = "numba" in available_backends()
@@ -121,8 +122,11 @@ class TestCompiledParity:
         csr = as_csr(medium_graph)
         ref = GreedyState(csr, variant, kernels="numpy")
         jit = GreedyState(csr, variant, kernels="numba")
+        args = (csr.in_ptr, csr.in_src, csr.in_weight, csr.node_weight,
+                ref.in_set, ref.deficit, ref.variant is Variant.INDEPENDENT)
         np.testing.assert_allclose(
-            ref.gains_range(100, 400), jit.gains_range(100, 400), atol=1e-12
+            ref.kernels.gains_block(100, 400, *args),
+            jit.kernels.gains_block(100, 400, *args), atol=1e-12,
         )
 
     @pytest.mark.parametrize("strategy", ["naive", "lazy", "accelerated"])

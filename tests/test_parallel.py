@@ -1,446 +1,15 @@
-"""Tests for parallel gain evaluation and the work-span cost model."""
-
-import multiprocessing as mp
-import os
-import signal
-import time
+"""Tests for the work-span parallel cost model (Figure 4e)."""
 
 import numpy as np
 import pytest
 
 from repro.core.csr import as_csr
-from repro.core.gain import GreedyState
-from repro.core.greedy import greedy_solve
 from repro.core.parallel import (
     ParallelCostModel,
-    ParallelGainEvaluator,
     calibrate_cost_model,
     speedup_curve,
 )
-from repro.core.threshold import greedy_threshold_solve
 from repro.errors import SolverError
-
-BACKENDS = ("shm", "pipe")
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request) -> str:
-    """Parametrize a test over both wire protocols."""
-    return request.param
-
-
-class TestParallelGainEvaluator:
-    def test_matches_serial_gains(self, medium_graph, variant, backend):
-        csr = as_csr(medium_graph)
-        with ParallelGainEvaluator(
-            csr, variant, n_workers=3, backend=backend
-        ) as pool:
-            assert pool.backend == backend
-            state = GreedyState(csr, variant)
-            np.testing.assert_allclose(
-                pool.gains(state), state.gains_all(), atol=1e-12
-            )
-            # After committing nodes, workers must observe the new state.
-            state.add_node(5)
-            state.add_node(99)
-            np.testing.assert_allclose(
-                pool.gains(state), state.gains_all(), atol=1e-12
-            )
-
-    def test_full_solve_same_solution(self, medium_graph, variant, backend):
-        serial = greedy_solve(medium_graph, 20, variant, strategy="naive")
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend
-        ) as pool:
-            parallel = greedy_solve(
-                medium_graph, 20, variant, strategy="naive", parallel=pool
-            )
-        assert parallel.retained == serial.retained
-        assert parallel.cover == pytest.approx(serial.cover, abs=1e-12)
-
-    def test_threshold_solve_same_solution(self, medium_graph, variant,
-                                           backend):
-        serial = greedy_threshold_solve(
-            medium_graph, threshold=0.55, variant=variant
-        )
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=3, backend=backend
-        ) as pool:
-            parallel = greedy_threshold_solve(
-                medium_graph, threshold=0.55, variant=variant, parallel=pool
-            )
-        assert parallel.retained == serial.retained
-        assert parallel.k == serial.k
-        assert parallel.cover == pytest.approx(serial.cover, abs=1e-12)
-
-    def test_auto_prefers_shared_memory(self, small_graph, variant):
-        pool = ParallelGainEvaluator(small_graph, variant, n_workers=2)
-        assert pool.backend in ("shm", "pipe", "serial")
-        if "fork" in mp.get_all_start_methods():
-            assert pool.backend == "shm"
-
-    def test_unknown_backend_rejected(self, small_graph):
-        with pytest.raises(SolverError, match="parallel backend"):
-            ParallelGainEvaluator(
-                small_graph, "independent", n_workers=2, backend="zeromq"
-            )
-
-    def test_single_worker_is_serial(self, small_graph, variant):
-        pool = ParallelGainEvaluator(small_graph, variant, n_workers=1)
-        with pool:
-            state = GreedyState(as_csr(small_graph), variant)
-            np.testing.assert_allclose(
-                pool.gains(state), state.gains_all()
-            )
-        assert pool._procs == []
-
-    def test_invalid_worker_count(self, small_graph):
-        with pytest.raises(SolverError, match="n_workers"):
-            ParallelGainEvaluator(small_graph, "independent", n_workers=0)
-
-    def test_edge_balanced_cuts_partition(self, medium_graph, variant):
-        pool = ParallelGainEvaluator(medium_graph, variant, n_workers=4)
-        cuts = pool._edge_balanced_cuts(as_csr(medium_graph).n_items, 4)
-        assert cuts[0][0] == 0
-        assert cuts[-1][1] == as_csr(medium_graph).n_items
-        for (_, hi), (lo, _) in zip(cuts, cuts[1:]):
-            assert hi == lo  # contiguous, non-overlapping
-
-    def test_close_is_idempotent(self, small_graph, variant, backend):
-        pool = ParallelGainEvaluator(
-            small_graph, variant, n_workers=2, backend=backend
-        )
-        pool.start()
-        pool.close()
-        pool.close()
-        assert pool._shm_blocks == []
-
-
-class TestWorkerCleanup:
-    """Error paths must never leak worker processes or shared segments."""
-
-    def _assert_no_children(self, procs):
-        for proc in procs:
-            proc.join(timeout=5)
-            assert not proc.is_alive()
-
-    def test_worker_error_raises_and_reaps(self, medium_graph, variant,
-                                           backend):
-        csr = as_csr(medium_graph)
-        pool = ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend
-        )
-        pool.start()
-        procs = list(pool._procs)
-        assert procs
-        # Poke the protocol with garbage: the worker reports the failure
-        # instead of dying silently, and the parent tears the pool down.
-        if backend == "shm":
-            pool._conns[0].send_bytes(b"garbage")
-        else:
-            pool._conns[0].send(("garbage",))
-        state = GreedyState(csr, variant)
-        with pytest.raises(SolverError, match="worker"):
-            pool.gains(state)
-        assert pool._procs == []
-        assert pool._shm_blocks == []
-        self._assert_no_children(procs)
-
-    def test_exit_reaps_after_midsolve_exception(self, medium_graph,
-                                                 variant, backend):
-        csr = as_csr(medium_graph)
-        procs = []
-        with pytest.raises(RuntimeError, match="mid-solve"):
-            with ParallelGainEvaluator(
-                csr, variant, n_workers=2, backend=backend
-            ) as pool:
-                pool.gains(GreedyState(csr, variant))
-                procs = list(pool._procs)
-                assert procs
-                raise RuntimeError("mid-solve failure")
-        self._assert_no_children(procs)
-        assert pool._procs == []
-        assert pool._shm_blocks == []
-
-    def test_incompatible_state_raises_and_reaps(self, variant, backend):
-        from repro.workloads.graphs import random_preference_graph
-
-        big = random_preference_graph(300, variant=variant, seed=1)
-        small = random_preference_graph(50, variant=variant, seed=2)
-        pool = ParallelGainEvaluator(
-            small, variant, n_workers=2, backend=backend
-        )
-        pool.start()
-        procs = list(pool._procs)
-        state = GreedyState(as_csr(big), variant)
-        state.add_node(200)  # out of range for the pool's 50-node graph
-        with pytest.raises(SolverError):
-            # A state over a different graph cannot be evaluated; the
-            # failure must be a SolverError, not a hang or a leak.
-            pool.gains(state)
-        self._assert_no_children(procs)
-        assert pool._procs == []
-
-
-def _assert_reaped(procs):
-    """Every child joined, reaped and invisible to the process table."""
-    for proc in procs:
-        proc.join(timeout=5)
-        assert not proc.is_alive()
-        assert proc not in mp.active_children()
-        assert not os.path.exists(f"/proc/{proc.pid}")
-
-
-class TestEpochProtocol:
-    """Stale replicas are structurally impossible, not just patched."""
-
-    def test_two_sequential_solves_one_evaluator(self, medium_graph,
-                                                 variant, backend):
-        # Regression for the stale `_synced` counter: the second solve's
-        # fresh state used to meet replicas still holding the first
-        # solve's selections, silently returning wrong gains on pipe.
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend
-        ) as pool:
-            for k in (12, 17):
-                serial = greedy_solve(
-                    medium_graph, k=k, variant=variant, strategy="naive"
-                )
-                parallel = greedy_solve(
-                    medium_graph, k=k, variant=variant, strategy="naive",
-                    parallel=pool,
-                )
-                assert parallel.retained == serial.retained
-                assert parallel.cover == serial.cover
-
-    def test_reuse_after_close(self, medium_graph, variant, backend):
-        # close() then start(): fresh forks must never inherit the old
-        # pool's sync bookkeeping.
-        pool = ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend
-        )
-        serial = greedy_solve(
-            medium_graph, k=10, variant=variant, strategy="naive"
-        )
-        for _ in range(2):
-            with pool:
-                parallel = greedy_solve(
-                    medium_graph, k=10, variant=variant, strategy="naive",
-                    parallel=pool,
-                )
-            assert parallel.retained == serial.retained
-
-    def test_fresh_state_on_warm_pool(self, medium_graph, variant,
-                                      backend):
-        # A brand-new state handed to a pool whose replicas are ahead
-        # must trigger a resync, not reuse the stale replicas.
-        csr = as_csr(medium_graph)
-        with ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend
-        ) as pool:
-            advanced = GreedyState(csr, variant)
-            pool.gains(advanced)
-            advanced.add_node(3)
-            advanced.add_node(11)
-            pool.gains(advanced)
-            fresh = GreedyState(csr, variant)
-            np.testing.assert_allclose(
-                pool.gains(fresh), fresh.gains_all(), atol=1e-12
-            )
-            if backend == "pipe":
-                assert pool.resyncs >= 1
-
-    def test_divergent_state_of_equal_epoch(self, medium_graph, variant,
-                                            backend):
-        # Same epoch, different selections: the order digest (not the
-        # epoch count) is what catches this.
-        csr = as_csr(medium_graph)
-        with ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend
-        ) as pool:
-            first = GreedyState(csr, variant)
-            first.add_node(5)
-            first.add_node(7)
-            pool.gains(first)
-            second = GreedyState(csr, variant)
-            second.add_node(3)
-            second.add_node(9)
-            assert second.epoch == first.epoch
-            assert second.order_digest != first.order_digest
-            np.testing.assert_allclose(
-                pool.gains(second), second.gains_all(), atol=1e-12
-            )
-
-    def test_state_carries_epoch_and_digest(self, small_graph, variant):
-        state = GreedyState(as_csr(small_graph), variant)
-        assert state.epoch == 0
-        assert state.order_digest == 0
-        state.add_node(2)
-        assert state.epoch == 1
-        digest_one = state.order_digest
-        state.add_node(4)
-        assert state.epoch == 2
-        assert state.order_digest != digest_one
-
-    def test_threshold_solves_reuse_pool(self, medium_graph, variant,
-                                         backend):
-        serial = greedy_threshold_solve(
-            medium_graph, threshold=0.5, variant=variant
-        )
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend
-        ) as pool:
-            for _ in range(2):
-                parallel = greedy_threshold_solve(
-                    medium_graph, threshold=0.5, variant=variant,
-                    parallel=pool,
-                )
-                assert parallel.retained == serial.retained
-
-
-class TestSupervision:
-    """Crashed and hung workers are restarted or surfaced, never hung on."""
-
-    def test_crash_with_no_budget_raises_and_reaps(self, medium_graph,
-                                                   variant, backend):
-        csr = as_csr(medium_graph)
-        pool = ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend,
-            timeout_s=10.0, max_restarts=0,
-        )
-        pool.start()
-        procs = list(pool._procs)
-        shm_names = [block.name for block in pool._shm_blocks]
-        os.kill(procs[0].pid, signal.SIGKILL)
-        state = GreedyState(csr, variant)
-        with pytest.raises(SolverError, match="restart budget"):
-            pool.gains(state)
-        assert pool._procs == []
-        assert pool._shm_blocks == []
-        _assert_reaped(procs)
-        for name in shm_names:
-            assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_crash_mid_solve_restarts_and_recovers(self, medium_graph,
-                                                   variant, backend):
-        serial = greedy_solve(
-            medium_graph, k=8, variant=variant, strategy="naive"
-        )
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend,
-            timeout_s=10.0, max_restarts=2,
-        ) as pool:
-            victims = []
-
-            def sabotage(iteration, node, gain, cover):
-                if iteration == 1:
-                    victim = pool._procs[0]
-                    victims.append(victim)
-                    os.kill(victim.pid, signal.SIGKILL)
-
-            parallel = greedy_solve(
-                medium_graph, k=8, variant=variant, strategy="naive",
-                parallel=pool, callback=sabotage,
-            )
-        assert parallel.retained == serial.retained
-        assert parallel.cover == serial.cover
-        assert pool.restarts >= 1
-        _assert_reaped(victims)
-
-    def test_hung_worker_times_out_within_budget(self, medium_graph,
-                                                 variant, backend):
-        csr = as_csr(medium_graph)
-        pool = ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend,
-            timeout_s=0.5, max_restarts=0,
-        )
-        pool.start()
-        procs = list(pool._procs)
-        os.kill(procs[0].pid, signal.SIGSTOP)
-        state = GreedyState(csr, variant)
-        started = time.monotonic()
-        with pytest.raises(SolverError, match="timed out"):
-            pool.gains(state)
-        assert time.monotonic() - started < 5.0
-        assert pool.timeouts >= 1
-        assert pool._procs == []
-        _assert_reaped(procs)
-
-    def test_hung_worker_restarts_and_recovers(self, medium_graph,
-                                               variant, backend):
-        csr = as_csr(medium_graph)
-        serial = GreedyState(csr, variant).gains_all()
-        pool = ParallelGainEvaluator(
-            csr, variant, n_workers=2, backend=backend,
-            timeout_s=0.5, max_restarts=2,
-        )
-        with pool:
-            stopped = pool._procs[1]
-            os.kill(stopped.pid, signal.SIGSTOP)
-            gains = pool.gains(GreedyState(csr, variant))
-            np.testing.assert_allclose(gains, serial, atol=1e-12)
-            assert pool.restarts >= 1
-        _assert_reaped([stopped])
-
-    def test_fork_unavailable_degrades_to_serial(self, monkeypatch,
-                                                 small_graph, variant):
-        monkeypatch.setattr(
-            mp, "get_all_start_methods", lambda: ["spawn"]
-        )
-        pool = ParallelGainEvaluator(small_graph, variant, n_workers=3)
-        assert pool.backend == "serial"
-        with pool:
-            state = GreedyState(as_csr(small_graph), variant)
-            np.testing.assert_array_equal(
-                pool.gains(state), state.gains_all()
-            )
-        assert pool._procs == []
-
-    def test_liveness_snapshot(self, medium_graph, variant, backend):
-        pool = ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=backend
-        )
-        with pool:
-            assert pool.liveness() == [True, True]
-        assert pool.liveness() == []
-
-    @pytest.mark.parametrize("kwargs", [
-        {"timeout_s": 0.0},
-        {"timeout_s": -1.0},
-        {"max_restarts": -1},
-    ])
-    def test_invalid_supervision_params(self, small_graph, kwargs):
-        with pytest.raises(SolverError):
-            ParallelGainEvaluator(
-                small_graph, "independent", n_workers=2, **kwargs
-            )
-
-
-class TestEmptyCuts:
-    def test_more_workers_than_items(self, variant, backend):
-        from repro.workloads.graphs import small_dense_graph
-
-        graph = small_dense_graph(5, variant=variant, seed=3)
-        with ParallelGainEvaluator(
-            graph, variant, n_workers=8, backend=backend
-        ) as pool:
-            # Empty (lo, lo) blocks must not fork idle workers.
-            assert 0 < len(pool._procs) <= 5
-            assert all(hi > lo for lo, hi in pool._bounds)
-            assert pool._bounds[0][0] == 0
-            assert pool._bounds[-1][1] == 5
-            state = GreedyState(as_csr(graph), variant)
-            np.testing.assert_allclose(
-                pool.gains(state), state.gains_all(), atol=1e-12
-            )
-            serial = greedy_solve(
-                graph, k=3, variant=variant, strategy="naive"
-            )
-            parallel = greedy_solve(
-                graph, k=3, variant=variant, strategy="naive",
-                parallel=pool,
-            )
-            assert parallel.retained == serial.retained
 
 
 class TestCostModel:

@@ -94,6 +94,20 @@ class TestCheckpointer:
         assert snapshot.cover == pytest.approx(float(state.cover))
         assert snapshot.digest == order_crc([3, 1, 7])
 
+    def test_state_carries_epoch_and_digest(self, small_graph, variant):
+        # Checkpoints store the state's running epoch and digest; the
+        # digest must be the CRC the loader recomputes from the order.
+        state = GreedyState(as_csr(small_graph), variant)
+        assert state.epoch == 0
+        assert state.order_digest == order_crc([]) == 0
+        digests = set()
+        for node in (2, 4, 0):
+            state.add_node(node)
+            assert state.epoch == len(state.order)
+            assert state.order_digest == order_crc(state.order)
+            digests.add(state.order_digest)
+        assert len(digests) == 3
+
     def test_maybe_save_respects_cadence(self, graph, tmp_path):
         csr = as_csr(graph)
         context = solve_context(csr, "independent")
@@ -256,10 +270,10 @@ class TestRunGuard:
 class TestFaultInjector:
     def test_spec_roundtrip(self):
         faults = FaultInjector.from_spec(
-            "worker_crash=0.25:recv_delay=0.5:seed=9:kill_round=3"
+            "checkpoint_write=0.25:refresh_delay=0.5:seed=9:kill_round=3"
         )
-        assert faults.worker_crash == 0.25
-        assert faults.recv_delay == 0.5
+        assert faults.checkpoint_write == 0.25
+        assert faults.refresh_delay == 0.5
         assert faults.seed == 9
         assert faults.kill_round == 3
 
@@ -267,15 +281,15 @@ class TestFaultInjector:
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
             FaultInjector.from_spec("explode=1")
         with pytest.raises(ReproError, match="REPRO_FAULTS"):
-            FaultInjector.from_spec("worker_crash=lots")
+            FaultInjector.from_spec("checkpoint_write=lots")
 
     def test_validation(self):
         with pytest.raises(ReproError, match="probability"):
-            FaultInjector(worker_crash=1.5)
+            FaultInjector(checkpoint_write=1.5)
         with pytest.raises(ReproError, match="kill_round"):
             FaultInjector(kill_round=0)
-        with pytest.raises(ReproError, match="recv_delay"):
-            FaultInjector(recv_delay=-1)
+        with pytest.raises(ReproError, match="refresh_delay"):
+            FaultInjector(refresh_delay=-1)
 
     def test_solver_round_kill(self):
         faults = FaultInjector(kill_round=3)

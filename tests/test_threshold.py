@@ -5,18 +5,9 @@ import pytest
 
 from repro.core.csr import as_csr
 from repro.core.greedy import greedy_order, greedy_solve
-from repro.core.parallel import ParallelGainEvaluator
 from repro.core.threshold import greedy_threshold_solve
 from repro.errors import SolverError
 from repro.observability import SolverTrace
-
-PARALLEL_BACKENDS = ("shm", "pipe")
-
-
-@pytest.fixture(params=PARALLEL_BACKENDS)
-def parallel_backend(request) -> str:
-    return request.param
-
 
 class TestThresholdSolve:
     @pytest.mark.parametrize("threshold", [0.25, 0.5, 0.75, 0.9])
@@ -116,19 +107,6 @@ class TestEvaluationAccounting:
         )
         assert result.k == 0
         assert result.gain_evaluations == n
-
-    def test_parallel_counts_per_round_sweeps(self, medium_graph, variant,
-                                              parallel_backend):
-        n = as_csr(medium_graph).n_items
-        with ParallelGainEvaluator(
-            medium_graph, variant, n_workers=2, backend=parallel_backend
-        ) as pool:
-            result = greedy_threshold_solve(
-                medium_graph, threshold=0.6, variant=variant, parallel=pool
-            )
-        expected = sum(n - i for i in range(result.k))
-        assert result.gain_evaluations == expected
-        assert result.gain_evaluations != n  # the old hardcoded value
 
     def test_tracer_counter_matches_result(self, medium_graph, variant):
         tracer = SolverTrace()
